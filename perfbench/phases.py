@@ -16,10 +16,10 @@ inputs are and how much of the measured time each phase gets.
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
 import math
 import os
-import random
 import re
 import signal
 import statistics
@@ -56,11 +56,6 @@ KERNEL_TOP_K = 5
 SERVED_TOP_K = 10
 #: Correctness gate carried over from the cascade's own acceptance bound.
 MIN_NEUTRAL_SKIP_FRAC = 0.30
-#: Upper end of a served client's seeded think time between a reply and its
-#: next request.  Without it the two closed-loop clients lock into step with
-#: the micro-batcher (every batch holds both) or out of it, and a run stays
-#: in whichever state it fell into, so p50 jumps between runs.
-THINK_S = 0.02
 #: Build/prepare pool size for lakes large enough to amortise a pool.
 BUILD_WORKERS = 2
 
@@ -158,7 +153,6 @@ class KernelPhase:
     def __init__(self, run: Run, rng, params: dict) -> None:
         self.run = run
         self.params = params
-        self.min_steps = params["min_passes"]
         root = run.workdir / "kernel"
         self.lake = kernel_lake(
             root / "csv", rng, params["rows"], params["columns"],
@@ -201,36 +195,48 @@ class KernelPhase:
                 # would, so the first timed pass is already warm.
                 engine.prepared_store.prepare(engine.matcher, query)
         self.references: dict[tuple[str, str], str] = {}
-        self.samples: dict[tuple[str, str], list[float]] = {}
+        #: matcher -> mean query seconds of each of its completed passes
+        self.passes: dict[str, list[float]] = {name: [] for name in MATCHERS}
+        #: matcher -> query seconds of its pass in progress
+        self.current: dict[str, list[float]] = {name: [] for name in MATCHERS}
         self.shortlists: dict[str, set[int]] = {name: set() for name in MATCHERS}
-        self.passes = 0
+
+    def has_minimum(self) -> bool:
+        return all(len(p) >= self.params["min_passes"] for p in self.passes.values())
 
     def step(self, slice_s: float) -> None:
-        """Passes for *slice_s* seconds (at least one).  A pass runs every
-        matcher on every query, query-major, so each matcher's samples
-        spread over the whole pass."""
-        deadline = time.perf_counter() + slice_s
-        rounds = max(len(self.queries_for(name)) for name in MATCHERS)
-        while True:
-            for index in range(rounds):
-                for name, engine in self.engines.items():
-                    queries = self.queries_for(name)
-                    if index < len(queries):
-                        self._query(name, engine, queries[index])
-            self.passes += 1
-            if time.perf_counter() >= deadline:
-                return
+        """One slice: each matcher in turn gets an equal share of *slice_s*
+        and spends it on its query tables in rotation, at least one query.
+        A slow matcher therefore takes only its own query's time, and every
+        matcher is sampled in every slice.  A pass is one rotation over a
+        matcher's query tables; its sample is their mean time."""
+        share = slice_s / len(MATCHERS)
+        for name, engine in self.engines.items():
+            queries = self.queries_for(name)
+            current = self.current[name]
+            deadline = time.perf_counter() + share
+            while True:
+                seconds = self._query(name, engine, queries[len(current)])
+                if seconds is None:
+                    current.clear()
+                else:
+                    current.append(seconds)
+                    if len(current) == len(queries):
+                        self.passes[name].append(statistics.fmean(current))
+                        current.clear()
+                if time.perf_counter() >= deadline:
+                    break
 
-    def _query(self, name: str, engine: LakeDiscoveryEngine, query) -> None:
+    def _query(self, name: str, engine: LakeDiscoveryEngine, query) -> Optional[float]:
         run = self.run
         try:
             results, seconds = timed(engine.query, query, top_k=KERNEL_TOP_K)
         except Exception as exc:  # counted, reported, never dropped
             run.operation(self.name, False)
             run.gate(False, f"{name} query {query.name} raised {exc!r}")
-            return
+            return None
         stats = engine.last_query_stats
-        # The first pass is the reference every repeat must match.
+        # The first run of each query is the reference every repeat must match.
         key = (name, query.name)
         same = self.references.setdefault(key, ranking(results)) == ranking(results)
         run.gate(same, f"{name} warm query {query.name} ranked differently on repeat")
@@ -240,30 +246,28 @@ class KernelPhase:
             f"{stats.rerank_count - stats.store_hits} candidates from CSV",
         )
         run.operation(self.name, same)
-        self.samples.setdefault(key, []).append(seconds)
         self.shortlists[name].add(stats.shortlist_size)
+        return seconds
 
     def finish(self) -> None:
-        """Per matcher: the mean over its queries of each query's median
-        time over the passes."""
+        """Per matcher: the median over its passes of a pass's mean query
+        time, so every sample weighs each query table alike."""
         run = self.run
         for name in MATCHERS:
-            per_query = [
-                median(times) for (matcher, _), times in self.samples.items()
-                if matcher == name
-            ]
-            run.metric(
-                f"matcher_query_ms.{name}",
-                statistics.fmean(per_query) * 1e3 if per_query else 0.0,
-                "ms",
-            )
+            run.metric(f"matcher_query_ms.{name}", median(self.passes[name]) * 1e3, "ms")
+        passes = {name: len(values) for name, values in self.passes.items()}
         run.sizes["kernels"] = {
             "lake": self.lake.sizes(),
             "embdi_lake": self.embdi_lake.sizes(),
-            "passes": self.passes,
+            "passes": passes,
             "shortlist_sizes": {name: sorted(s) for name, s in self.shortlists.items()},
         }
-        print(f"kernels: {self.passes} passes over {len(MATCHERS)} matchers", flush=True)
+        print(
+            "kernels: passes per matcher "
+            + ", ".join(f"{name} {count}" for name, count in passes.items()),
+            flush=True,
+        )
+
         tracer = self.tracer
         if tracer is not None:
             tracer.enabled = False
@@ -307,6 +311,10 @@ class Daemon:
             stdout=subprocess.PIPE,
             stderr=self.log,
             start_new_session=True,
+            # SIGINT is the daemon's graceful stop; a shell that starts the
+            # benchmark in the background has it ignored, and the daemon
+            # would inherit that.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
         )
         try:
             self.port = self._read_port(timeout_s=60.0)
@@ -367,7 +375,6 @@ class ServedPhase:
     """Closed-loop clients against the daemon; half the queries per cohort."""
 
     name = "served"
-    min_steps = 1
 
     def __init__(self, run: Run, rng, params: dict) -> None:
         self.run = run
@@ -379,7 +386,7 @@ class ServedPhase:
         self.store_path: Optional[Path] = None
         self.daemon: Optional[Daemon] = None
         self.references: dict[str, str] = {}
-        self.think_seed = rng.randrange(1 << 30)
+        self.threads: list[threading.Thread] = []
 
     def setup(self, store_dir: Path) -> None:
         self.store_path = store_dir / "wide.sketches"
@@ -487,7 +494,10 @@ class ServedPhase:
         )
         run.layer("discovery.prepared.bytes_read", median(bytes_read), "bytes")
         run.layer("discovery.prepared.hit_frac", median(hit_fracs), "ratio")
-        run.layer("trace.overhead_frac", median(traced) / median(untraced) - 1.0, "ratio")
+        # Each traced query is paired with the untraced run of the same
+        # query next to it, so the ratio does not mix queries or moments.
+        ratios = [t / u for t, u in zip(traced, untraced)]
+        run.layer("trace.overhead_frac", median(ratios) - 1.0, "ratio")
 
     def start(self) -> None:
         queries = self.lake.queries
@@ -501,60 +511,91 @@ class ServedPhase:
             for query in queries[:2]:
                 client.query(query, top_k=SERVED_TOP_K)
             self.before = client.stats()
-        clients = range(self.params["clients"])
-        self.think = [random.Random(self.think_seed + index) for index in clients]
-        self.sent = [0 for _ in clients]
-        self.records: list[tuple] = []  # (cohort, query name, rtt s or inf, payload)
+        clients = self.params["clients"]
+        #: (cohort, query name, sent at, rtt s or inf, payload, measured)
+        self.records: list[tuple] = []
         self.elapsed = 0.0
         self.slices = 0
+        # The clients live for the whole phase on one connection each and
+        # are paused between slices.  Under ``self.turn``: ``open`` lets them
+        # send, ``window`` is the slice's measured span, and ``sent_at``
+        # holds each client's in-flight request's send time (None if idle).
+        self.turn = threading.Condition()
+        self.open = False
+        self.closing = False
+        self.window = (math.inf, math.inf)
+        self.sent_at: list[Optional[float]] = [None] * clients
+        self.threads = [
+            threading.Thread(target=self._client, args=(i,), name=f"client-{i}")
+            for i in range(clients)
+        ]
+        for thread in self.threads:
+            thread.start()
+
+    def _client(self, index: int) -> None:
+        """A closed-loop client: the next request goes out as soon as the
+        reply to the last one is in."""
+        turn = self.turn
+        with ServeClient(port=self.daemon.port, timeout_s=30.0) as session:
+            for i in itertools.count():
+                with turn:
+                    turn.wait_for(lambda: self.open or self.closing)
+                    if self.closing:
+                        return
+                    sent = self.sent_at[index] = time.perf_counter()
+                    start, end = self.window
+                cohort = ("realistic", "neutral")[(i + index) % 2]
+                pool = self.by_cohort[cohort]
+                query = pool[(i // 2 + index) % len(pool)]
+                try:
+                    payload = session.query(query, top_k=SERVED_TOP_K)
+                    rtt = time.perf_counter() - sent
+                except Exception as exc:
+                    # 429 / 503 / 504, timeouts, broken connections: the
+                    # request failed and counts as over any limit.
+                    payload, rtt = {"error": repr(exc)}, math.inf
+                with turn:
+                    self.sent_at[index] = None
+                    self.records.append(
+                        (cohort, query.name, sent, rtt, payload, start <= sent < end)
+                    )
+                    turn.notify_all()
+
+    def has_minimum(self) -> bool:
+        return self.slices >= 1
 
     def step(self, slice_s: float) -> None:
-        """Closed-loop load from every client for *slice_s* seconds."""
-        lock = threading.Lock()
-        started = time.perf_counter()
-        deadline = started + slice_s
-
-        def client_loop(index: int) -> None:
-            with ServeClient(port=self.daemon.port, timeout_s=30.0) as session:
-                while time.perf_counter() < deadline:
-                    time.sleep(self.think[index].uniform(0.0, THINK_S))
-                    i = self.sent[index]
-                    self.sent[index] += 1
-                    cohort = ("realistic", "neutral")[(i + index) % 2]
-                    pool = self.by_cohort[cohort]
-                    query = pool[(i // 2 + index) % len(pool)]
-                    sent = time.perf_counter()
-                    try:
-                        payload = session.query(query, top_k=SERVED_TOP_K)
-                        rtt = time.perf_counter() - sent
-                    except Exception as exc:
-                        # 429 / 503 / 504, timeouts, broken connections: the
-                        # request failed and counts as over any limit.
-                        payload, rtt = {"error": repr(exc)}, math.inf
-                    with lock:
-                        self.records.append((cohort, query.name, rtt, payload))
-
-        threads = [
-            threading.Thread(target=client_loop, args=(i,), name=f"client-{i}")
-            for i in range(self.params["clients"])
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        self.elapsed += time.perf_counter() - started
+        """Closed-loop load for *slice_s* seconds.  The requests sent within
+        the slice are measured.  The load stays on until each of them is
+        answered, so every measured request ran with every client active;
+        then the clients pause."""
+        turn = self.turn
+        with turn:
+            start = time.perf_counter()
+            end = start + slice_s
+            self.window = (start, end)
+            self.open = True
+            turn.notify_all()
+        time.sleep(max(0.0, end - time.perf_counter()))
+        with turn:
+            turn.wait_for(lambda: all(s is None or s >= end for s in self.sent_at))
+            self.open = False
+            turn.wait_for(lambda: all(s is None for s in self.sent_at))
+        self.elapsed += slice_s
         self.slices += 1
 
     def finish(self) -> None:
         run = self.run
-        records, before, elapsed = self.records, self.before, self.elapsed
+        self._stop_clients()
+        before, elapsed = self.before, self.elapsed
         with ServeClient(port=self.daemon.port, timeout_s=60.0) as client:
             after = client.stats()
 
         latencies, engine_ms, overhead_ms = [], [], []
         skipped = {"realistic": 0, "neutral": 0}
         shortlisted = {"realistic": 0, "neutral": 0}
-        for cohort, name, rtt, payload in records:
+        measured = []
+        for cohort, name, _, rtt, payload, in_window in self.records:
             ok = math.isfinite(rtt)
             if ok:
                 stats = payload["stats"]
@@ -568,13 +609,16 @@ class ServedPhase:
                     f"served query {name} scored candidates missing from the store",
                 )
                 ok = same
-                skipped[cohort] += stats["cascade_skipped"]
-                shortlisted[cohort] += stats["shortlist_size"]
-                engine_ms.append(stats["total_seconds"] * 1e3)
-                overhead_ms.append(rtt * 1e3 - stats["total_seconds"] * 1e3)
+                if in_window:
+                    skipped[cohort] += stats["cascade_skipped"]
+                    shortlisted[cohort] += stats["shortlist_size"]
+                    engine_ms.append(stats["total_seconds"] * 1e3)
+                    overhead_ms.append(rtt * 1e3 - stats["total_seconds"] * 1e3)
             run.operation(self.name, ok)
-            latencies.append(rtt * 1e3)
-        succeeded = sum(1 for r in records if math.isfinite(r[2]))
+            if in_window:
+                measured.append((cohort, rtt))
+                latencies.append(rtt * 1e3)
+        succeeded = sum(1 for _, rtt in measured if math.isfinite(rtt))
         run.metric("query_p50_ms", percentile(latencies, 0.50), "ms")
         run.metric("query_p95_ms", percentile(latencies, 0.95), "ms")
         run.metric("queries_per_s", succeeded / elapsed, "1/s")
@@ -604,26 +648,38 @@ class ServedPhase:
         run.sizes["served"] = {
             "lake": self.lake.sizes(),
             "clients": self.params["clients"],
-            "requests": len(records),
+            "requests": len(self.records),
+            "measured_requests": len(measured),
             "shortlisted_per_query": {
-                c: shortlisted[c] / max(1, sum(1 for r in records if r[0] == c))
+                c: shortlisted[c] / max(1, sum(1 for m in measured if m[0] == c))
                 for c in shortlisted
             },
         }
         by = {
-            cohort: median(r[2] * 1e3 for r in records if r[0] == cohort)
+            cohort: median(rtt * 1e3 for c, rtt in measured if c == cohort)
             for cohort in self.by_cohort
         }
-        errors = sorted({r[3]["error"] for r in records if "error" in r[3]})
+        errors = sorted({r[4]["error"] for r in self.records if "error" in r[4]})
         print(
-            f"served: {len(records)} requests from {self.params['clients']} "
-            f"closed-loop clients in {elapsed:.1f}s over {self.slices} slices; median realistic "
-            f"{by['realistic']:.1f} ms, neutral {by['neutral']:.1f} ms"
-            + (f"; errors: {errors[:5]}" if errors else ""),
+            f"served: {len(measured)} measured of {len(self.records)} requests from "
+            f"{self.params['clients']} closed-loop clients in {elapsed:.1f}s over "
+            f"{self.slices} slices; median realistic {by['realistic']:.1f} ms, neutral "
+            f"{by['neutral']:.1f} ms; {batched / batches if batches else 0.0:.2f} "
+            f"queries per batch" + (f"; errors: {errors[:5]}" if errors else ""),
             flush=True,
         )
 
+    def _stop_clients(self) -> None:
+        if self.threads:
+            with self.turn:
+                self.closing = True
+                self.turn.notify_all()
+            for thread in self.threads:
+                thread.join()
+            self.threads = []
+
     def close(self) -> None:
+        self._stop_clients()
         if self.daemon is not None:
             self.daemon.stop()
             self.daemon = None
@@ -636,7 +692,6 @@ class ChurnPhase:
     """Edit the primary's CSVs, sync a replica, query it; per round."""
 
     name = "churn"
-    min_steps = 1
 
     def __init__(self, run: Run, rng, params: dict) -> None:
         self.run = run
@@ -683,6 +738,9 @@ class ChurnPhase:
         self.blobs: list[int] = []
         self.decoded: list[float] = []
         self.rounds = 0
+
+    def has_minimum(self) -> bool:
+        return self.rounds >= 1
 
     def step(self, slice_s: float) -> None:
         """Churn rounds for *slice_s* seconds (at least one)."""

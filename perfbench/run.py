@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload wide-lake-served --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload wide-lake-served --seed 1 --seconds 40 --trace 0
 
 Every workload runs the same three phases (see ``phases.py``) with its own
 input sizes and its own split of the measured seconds, so every
@@ -40,21 +40,22 @@ sys.path[:0] = [str(BENCH_DIR), str(SRC)]
 
 #: Set-up is repeated this many times per run; ``setup_s`` is the median.
 SETUP_REPEATS = 3
-#: The phases take turns in slices of about this many seconds (a kernel
-#: slice is at least one pass, a churn slice at least one round), so each
-#: metric's samples spread over the whole measured time: this machine's
-#: speed drifts from one second to the next.
-SLICE_S = 1.0
+#: Each phase's share of the measured time is spent in slices that take
+#: turns with the other phases' slices, so each metric's samples spread over
+#: the whole run: this machine's speed drifts from one second to the next.
+#: A kernel slice runs at least one query per matcher, a churn slice at
+#: least one round.
+SLICE_S = {"kernels": 0.4, "served": 1.0, "churn": 1.0}
 
-#: Kernel lake sizes: candidates and queries are per seed source; EmbDI's
-#: sub-lake has one query per source.
+#: Kernel lake sizes: candidates and queries are per seed source.  EmbDI
+#: trains word2vec per pair, so its sub-lake has one candidate per source.
 KERNELS_FULL = {
-    "rows": 20, "columns": 6, "candidates": 3, "queries": 2,
-    "embdi_rows": 8, "embdi_candidates": 2, "min_passes": 2,
+    "rows": 20, "columns": 6, "candidates": 3, "queries": 1,
+    "embdi_rows": 6, "embdi_candidates": 1, "min_passes": 3,
 }
 KERNELS_LIGHT = {
-    "rows": 12, "columns": 5, "candidates": 2, "queries": 2,
-    "embdi_rows": 6, "embdi_candidates": 2, "min_passes": 2,
+    "rows": 12, "columns": 5, "candidates": 2, "queries": 1,
+    "embdi_rows": 6, "embdi_candidates": 1, "min_passes": 3,
 }
 #: A neutral query's family is as deep as a realistic query's source, so
 #: the two cohorts cost alike; a family well over ``top_k`` deep leaves the
@@ -77,23 +78,19 @@ CHURN_LIGHT = {
 }
 
 #: workload -> phase -> (share of --seconds, input sizes).  Each workload
-#: gives most of its time and its largest inputs to the phase whose layers
-#: it is meant to stress (see README.md for why each was chosen).
+#: gives half its time and its largest inputs to the phase whose layers it
+#: is meant to stress; wide-lake-served also runs the large churn lake (see
+#: README.md for why each was chosen).
 WORKLOADS = {
     "matcher-kernels": {
-        "kernels": (0.60, KERNELS_FULL),
-        "served": (0.20, SERVED_LIGHT),
-        "churn": (0.20, CHURN_LIGHT),
+        "kernels": (0.50, KERNELS_FULL),
+        "served": (0.25, SERVED_LIGHT),
+        "churn": (0.25, CHURN_LIGHT),
     },
     "wide-lake-served": {
-        "kernels": (0.20, KERNELS_LIGHT),
-        "served": (0.60, SERVED_WIDE),
-        "churn": (0.20, CHURN_LIGHT),
-    },
-    "churn-replica": {
-        "kernels": (0.20, KERNELS_LIGHT),
-        "served": (0.20, SERVED_LIGHT),
-        "churn": (0.60, CHURN_FULL),
+        "kernels": (0.25, KERNELS_LIGHT),
+        "served": (0.50, SERVED_WIDE),
+        "churn": (0.25, CHURN_FULL),
     },
 }
 
@@ -124,6 +121,17 @@ def provenance(args: argparse.Namespace) -> dict:
         "git_sha": sha or "unknown",
         "git_dirty": bool(git("status", "--porcelain")) if sha else None,
     }
+
+
+def machine_loop_s() -> float:
+    """Seconds for a fixed pure-Python loop.  It is timed once per round of
+    phase slices and printed, not reported as a metric: it shows which
+    speed state the machine was in during a run."""
+    started = time.perf_counter()
+    total = 0
+    for i in range(100_000):
+        total += i * i
+    return time.perf_counter() - started
 
 
 def run_workload(run, args: argparse.Namespace) -> None:
@@ -162,21 +170,29 @@ def run_workload(run, args: argparse.Namespace) -> None:
         steps = dict.fromkeys(phases, 0)
         for phase in phases.values():
             phase.start()
+        machine = []
         while True:
+            machine.append(machine_loop_s())
             active = [
                 name for name, phase in phases.items()
-                if used[name] < budgets[name] or steps[name] < phase.min_steps
+                if used[name] < budgets[name] or not phase.has_minimum()
             ]
             if not active:
                 break
             for name in active:
                 started = time.perf_counter()
-                phases[name].step(SLICE_S)
+                phases[name].step(SLICE_S[name])
                 used[name] += time.perf_counter() - started
                 steps[name] += 1
         for name, phase in phases.items():
             phase.finish()
             print(f"  {name}: {steps[name]} slices, {used[name]:.2f}s", flush=True)
+        print(
+            f"machine: fixed loop {statistics.median(machine) * 1e3:.2f} ms median, "
+            f"{min(machine) * 1e3:.2f} to {max(machine) * 1e3:.2f} ms over "
+            f"{len(machine)} rounds",
+            flush=True,
+        )
     finally:
         for phase in phases.values():
             phase.close()

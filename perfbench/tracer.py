@@ -5,7 +5,9 @@ public functions each layer exposes — on the objects it created, or on the
 class or module attribute the engine calls through — and records one span
 per call.  Spans nest along the calling thread's stack; a span's *self
 time* is its duration minus the durations of its direct children, so the
-self times of one query's spans add up exactly to the query's wall time.
+self times of one query's spans add up to the root span's duration.
+:meth:`Tracer.check_tiling` checks that this tree is well formed and that
+the root span agrees with the engine's own measure of the query.
 
 Layer names follow the program's module names (``lake.index``,
 ``discovery.prepared``, ...).  Spans are kept in memory and only reduced
@@ -25,6 +27,10 @@ from repro.lake.index import LakeIndex
 #: The engine's query entry point; its self time is what no traced child
 #: covers (sketching the query, sorting, scoring glue).
 ROOT = "discovery.search"
+#: How much longer than the engine's own ``QueryStats.total_seconds`` a
+#: traced query may take: the root wrapper also times building the stats.
+WRAPPER_SLACK_S = 0.002
+WRAPPER_SLACK_FRAC = 0.05
 
 
 @dataclass
@@ -124,17 +130,24 @@ class Tracer:
         matcher and its stores are traced; an engine that pickles its
         matcher into a rerank pool must not be instrumented.
         """
-        self.patch(engine, "query", ROOT, root=True)
+        # The engine's own QueryStats are the independent measure the root
+        # span is checked against.
+        self.patch(
+            engine, "query", ROOT, root=True,
+            count=lambda _: {
+                "total_seconds": engine.last_query_stats.total_seconds,
+                "shortlist_seconds": engine.last_query_stats.shortlist_seconds,
+            },
+        )
         self.patch(engine.matcher, "match_prepared", f"matchers.{matcher_name}.pair")
         self.patch(engine.store, "table_meta", "lake.store.table_meta")
         # The query's prepared form comes through the store's write-through
-        # prepare (a stored payload for a repeated query, the matcher's
-        # prepare otherwise).  Candidate payloads come batched (get_many) or,
-        # under the cascade, one scored candidate at a time (get).
+        # prepare (its own stored-payload lookup included).  Candidate
+        # payloads come from the query itself: batched, or under the
+        # cascade one scored candidate at a time, both through get_many.
         prepared = engine.prepared_store
         self.patch(prepared, "prepare", f"matchers.{matcher_name}.prepare_query")
         self.patch(prepared, "get_many", "discovery.prepared.get_many")
-        self.patch(prepared, "get", "discovery.prepared.get_many")
         if not self._shared:
             # Built inside the engine / called through the engine module's
             # own reference, so wrapped where the engine looks them up.
@@ -159,14 +172,36 @@ class Tracer:
         return totals
 
     def check_tiling(self) -> Optional[str]:
-        """The accounting invariant: per query, layer self times sum to the
-        traced wall time.  Returns a description of the first violation."""
+        """The accounting invariant, per query: every span lies inside its
+        parent, siblings do not overlap (so the layer self times tile the
+        root), and the root span agrees with the engine's own
+        ``QueryStats.total_seconds`` to within the wrapper's overhead; the
+        shortlist span fits inside the engine's shortlist stage.  Returns a
+        description of the first violation."""
         for query in self.queries:
-            total = sum(self.self_times(query).values())
-            if abs(total - query.duration) > 1e-6 * max(1.0, query.duration):
+            for span in query.walk():
+                previous_end = span.start
+                for child in span.children:
+                    if child.start < previous_end or child.end > span.end:
+                        return (
+                            f"{child.name} [{child.start:.6f}, {child.end:.6f}] is not "
+                            f"inside {span.name} after its earlier children"
+                        )
+                    previous_end = child.end
+            engine_s = query.counts["total_seconds"]
+            tolerance = WRAPPER_SLACK_S + WRAPPER_SLACK_FRAC * engine_s
+            if not engine_s <= query.duration <= engine_s + tolerance:
                 return (
-                    f"self times sum to {total:.6f}s but the query took "
-                    f"{query.duration:.6f}s"
+                    f"the traced query took {query.duration:.6f}s but the engine "
+                    f"measured {engine_s:.6f}s"
+                )
+            shortlist = sum(
+                child.duration for child in query.children if child.name == "lake.index.shortlist"
+            )
+            if shortlist > query.counts["shortlist_seconds"]:
+                return (
+                    f"shortlist spans took {shortlist:.6f}s, longer than the "
+                    f"engine's shortlist stage {query.counts['shortlist_seconds']:.6f}s"
                 )
         return None
 
