@@ -1,4 +1,4 @@
-"""One seeded benchmark over three workloads of the lake discovery system.
+"""One seeded benchmark over two workloads of the lake discovery system.
 
 Run from the repository root::
 
