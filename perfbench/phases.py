@@ -15,6 +15,7 @@ inputs are and how much of the measured time each phase gets.
 
 from __future__ import annotations
 
+import ctypes
 import http.client
 import itertools
 import json
@@ -58,6 +59,59 @@ SERVED_TOP_K = 10
 MIN_NEUTRAL_SKIP_FRAC = 0.30
 #: Build/prepare pool size for lakes large enough to amortise a pool.
 BUILD_WORKERS = 2
+#: ``prctl`` options (linux/prctl.h).
+PR_SET_PDEATHSIG = 1
+PR_SET_CHILD_SUBREAPER = 36
+LIBC = ctypes.CDLL(None, use_errno=True)
+
+
+def prctl(option: int, value: int) -> None:
+    """``prctl(option, value)`` where the platform has it; a no-op elsewhere."""
+    try:
+        LIBC.prctl(option, value, 0, 0, 0)
+    except AttributeError:
+        pass
+
+
+def daemon_preexec() -> None:
+    """In the daemon's process, before it runs: SIGINT is its graceful
+    stop, but a shell that starts the benchmark in the background leaves
+    SIGINT ignored, and the daemon would inherit that.  It is also killed
+    if the benchmark dies without stopping it."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+
+
+# ---------------------------------------------------------------------- #
+# calibration
+# ---------------------------------------------------------------------- #
+#: The calibration loop's time at reference speed: its median on the
+#: 2-CPU machine the benchmark was tuned on, in that machine's fast state.
+REFERENCE_LOOP_S = 0.003
+
+
+def calibration_loop_s() -> float:
+    """Seconds for a fixed pure-Python loop, the lesser of two tries (an
+    interrupt lengthens one, never shortens it).
+
+    The machines this runs on are shared, and their speed drifts by a
+    third or more for stretches of seconds to minutes; every timing taken
+    in a slow stretch reads slow alike.  Each set-up, each matcher's share
+    of a kernel slice and each churn round first times this loop, and the
+    timings taken right after it are scaled by ``REFERENCE_LOOP_S`` over
+    the loop's time, which reports them at reference speed.  The loop runs
+    none of the program's code, so a change to the program moves the
+    scaled timings as it moves the measured ones.  Served timings are not
+    scaled: that work runs in the daemon's processes on every CPU, and the
+    loop's time in this process does not track it."""
+    best = math.inf
+    for _ in range(2):
+        started = time.perf_counter()
+        total = 0
+        for i in range(50_000):
+            total += i * i
+        best = min(best, time.perf_counter() - started)
+    return best
 
 
 # ---------------------------------------------------------------------- #
@@ -76,6 +130,15 @@ class Run:
     #: phase -> [sent, succeeded, failed]
     operations: dict[str, list[int]] = field(default_factory=dict)
     sizes: dict[str, object] = field(default_factory=dict)
+    #: Every calibration loop's seconds, in order.
+    loops: list[float] = field(default_factory=list)
+
+    def calibrate(self) -> float:
+        """Time the calibration loop now and return the factor that scales
+        a timing taken now to reference speed (see :func:`calibration_loop_s`)."""
+        seconds = calibration_loop_s()
+        self.loops.append(seconds)
+        return REFERENCE_LOOP_S / seconds
 
     def gate(self, ok: bool, message: str) -> None:
         """A correctness gate: a failed one fails the run."""
@@ -160,7 +223,7 @@ class KernelPhase:
         )
         self.embdi_lake = kernel_lake(
             root / "embdi_csv", rng, params["embdi_rows"], params["columns"],
-            params["embdi_candidates"], 1,
+            params["embdi_candidates"], params["queries"],
         )
         self.engines: dict[str, LakeDiscoveryEngine] = {}
         self.handles: list = []
@@ -195,10 +258,13 @@ class KernelPhase:
                 # would, so the first timed pass is already warm.
                 engine.prepared_store.prepare(engine.matcher, query)
         self.references: dict[tuple[str, str], str] = {}
-        #: matcher -> mean query seconds of each of its completed passes
+        #: matcher -> mean query seconds of each of its completed passes, at
+        #: reference speed and as measured
         self.passes: dict[str, list[float]] = {name: [] for name in MATCHERS}
-        #: matcher -> query seconds of its pass in progress
-        self.current: dict[str, list[float]] = {name: [] for name in MATCHERS}
+        self.raw_passes: dict[str, list[float]] = {name: [] for name in MATCHERS}
+        #: matcher -> (measured, reference-speed) query seconds of its pass
+        #: in progress
+        self.current: dict[str, list[tuple[float, float]]] = {name: [] for name in MATCHERS}
         self.shortlists: dict[str, set[int]] = {name: set() for name in MATCHERS}
 
     def has_minimum(self) -> bool:
@@ -214,15 +280,18 @@ class KernelPhase:
         for name, engine in self.engines.items():
             queries = self.queries_for(name)
             current = self.current[name]
+            factor = self.run.calibrate()
             deadline = time.perf_counter() + share
             while True:
                 seconds = self._query(name, engine, queries[len(current)])
                 if seconds is None:
                     current.clear()
                 else:
-                    current.append(seconds)
+                    current.append((seconds, seconds * factor))
                     if len(current) == len(queries):
-                        self.passes[name].append(statistics.fmean(current))
+                        raw, scaled = zip(*current)
+                        self.raw_passes[name].append(statistics.fmean(raw))
+                        self.passes[name].append(statistics.fmean(scaled))
                         current.clear()
                 if time.perf_counter() >= deadline:
                     break
@@ -264,7 +333,9 @@ class KernelPhase:
         }
         print(
             "kernels: passes per matcher "
-            + ", ".join(f"{name} {count}" for name, count in passes.items()),
+            + ", ".join(f"{name} {count}" for name, count in passes.items())
+            + "; measured ms "
+            + ", ".join(f"{name} {median(self.raw_passes[name]) * 1e3:.4g}" for name in MATCHERS),
             flush=True,
         )
 
@@ -311,10 +382,7 @@ class Daemon:
             stdout=subprocess.PIPE,
             stderr=self.log,
             start_new_session=True,
-            # SIGINT is the daemon's graceful stop; a shell that starts the
-            # benchmark in the background has it ignored, and the daemon
-            # would inherit that.
-            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+            preexec_fn=daemon_preexec,
         )
         try:
             self.port = self._read_port(timeout_s=60.0)
@@ -732,7 +800,8 @@ class ChurnPhase:
 
     def start(self) -> None:
         self.timings: dict[str, list[float]] = {}
-        self.freshness: list[float] = []
+        #: (measured, reference-speed) seconds per round
+        self.freshness: list[tuple[float, float]] = []
         self.fractions: list[float] = []
         self.fetched: list[int] = []
         self.blobs: list[int] = []
@@ -751,6 +820,7 @@ class ChurnPhase:
 
     def _round(self) -> None:
         run = self.run
+        factor = run.calibrate()
         self.rounds += 1
         query, touched, removed = churn_round(
             self.lake, self.rng, self.params["changed_tables"], self.params["appended_rows"]
@@ -777,7 +847,8 @@ class ChurnPhase:
             run.operation(self.name, False)
             run.gate(False, f"churn round {self.rounds} raised {exc!r}")
             return
-        self.freshness.append(time.perf_counter() - edited)
+        fresh = time.perf_counter() - edited
+        self.freshness.append((fresh, fresh * factor))
         expected = self.primary_engine.query(query, top_k=SERVED_TOP_K)
         same = ranking(answer) == ranking(expected)
         run.gate(same, f"replica ranked {query.name} differently from the primary")
@@ -806,7 +877,7 @@ class ChurnPhase:
         run = self.run
         timings, freshness, fractions = self.timings, self.freshness, self.fractions
         fetched, blobs, decoded, rounds = self.fetched, self.blobs, self.decoded, self.rounds
-        run.metric("freshness_s", median(freshness), "s")
+        run.metric("freshness_s", median(scaled for _, scaled in freshness), "s")
         run.metric("delta_bytes_frac", median(fractions), "ratio")
         for key, values in timings.items():
             run.layer(key, median(values), "ms")
@@ -814,7 +885,11 @@ class ChurnPhase:
         run.layer("artifacts.blobs_fetched", median(blobs), "count")
         run.layer("artifacts.iblt_decoded_frac", median(decoded), "ratio")
         run.sizes["churn"] = {"lake": self.lake.sizes(), "rounds": rounds}
-        print(f"churn: {rounds} edit/sync/query rounds", flush=True)
+        print(
+            f"churn: {rounds} edit/sync/query rounds; measured freshness "
+            f"{median(raw for raw, _ in freshness):.4g} s",
+            flush=True,
+        )
 
     def close(self) -> None:
         for engine in ("primary_engine", "replica_engine"):

@@ -50,13 +50,13 @@ SLICE_S = {"kernels": 0.4, "served": 1.0, "churn": 1.0}
 #: Kernel lake sizes: candidates and queries are per seed source.  EmbDI
 #: trains word2vec per pair, so its sub-lake has one candidate per source.
 KERNELS_FULL = {
-    "rows": 20, "columns": 6, "candidates": 3, "queries": 1,
+    "rows": 20, "columns": 6, "candidates": 3, "queries": 2,
     "embdi_rows": 6, "embdi_candidates": 1, "min_passes": 3,
 }
-KERNELS_LIGHT = {
-    "rows": 12, "columns": 5, "candidates": 2, "queries": 1,
-    "embdi_rows": 6, "embdi_candidates": 1, "min_passes": 3,
-}
+#: Where the kernels get less time, they run on the same lake, with fewer
+#: passes: a smaller lake's JaccardLevenshtein and DistributionBased
+#: timings depend on the seed by up to a quarter.
+KERNELS_LIGHT = dict(KERNELS_FULL, min_passes=2)
 #: A neutral query's family is as deep as a realistic query's source, so
 #: the two cohorts cost alike; a family well over ``top_k`` deep leaves the
 #: cascade something to skip.
@@ -78,19 +78,19 @@ CHURN_LIGHT = {
 }
 
 #: workload -> phase -> (share of --seconds, input sizes).  Each workload
-#: gives half its time and its largest inputs to the phase whose layers it
+#: gives most of its time and its largest inputs to the phase whose layers it
 #: is meant to stress; wide-lake-served also runs the large churn lake (see
 #: README.md for why each was chosen).
 WORKLOADS = {
     "matcher-kernels": {
-        "kernels": (0.50, KERNELS_FULL),
-        "served": (0.25, SERVED_LIGHT),
-        "churn": (0.25, CHURN_LIGHT),
+        "kernels": (0.60, KERNELS_FULL),
+        "served": (0.20, SERVED_LIGHT),
+        "churn": (0.20, CHURN_LIGHT),
     },
     "wide-lake-served": {
-        "kernels": (0.25, KERNELS_LIGHT),
+        "kernels": (0.30, KERNELS_LIGHT),
         "served": (0.50, SERVED_WIDE),
-        "churn": (0.25, CHURN_FULL),
+        "churn": (0.20, CHURN_FULL),
     },
 }
 
@@ -123,19 +123,54 @@ def provenance(args: argparse.Namespace) -> dict:
     }
 
 
-def machine_loop_s() -> float:
-    """Seconds for a fixed pure-Python loop.  It is timed once per round of
-    phase slices and printed, not reported as a metric: it shows which
-    speed state the machine was in during a run."""
-    started = time.perf_counter()
-    total = 0
-    for i in range(100_000):
-        total += i * i
-    return time.perf_counter() - started
+def child_pids() -> list[int]:
+    """This process's live children, read from ``/proc``."""
+    me, pids = os.getpid(), []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:
+                continue
+            # The fields after the parenthesised command: state, ppid, ...
+            fields = stat[stat.rindex(")") + 2:].split()
+            if int(fields[1]) == me and fields[0] != "Z":
+                pids.append(int(entry.name))
+    return pids
+
+
+def reap_descendants(timeout_s: float = 20.0) -> None:
+    """Wait until no child of this process is left, killing any still
+    alive after *timeout_s*.  As a child subreaper this process also
+    inherits the descendants whose parents ended first (the daemon's pool
+    workers and resource tracker), so nothing the run started outlives it,
+    not even as a zombie.  The multiprocessing resource tracker of this
+    process would only end after it does, so it is stopped first."""
+    from multiprocessing import resource_tracker
+
+    try:
+        resource_tracker._resource_tracker._stop()
+    except (AttributeError, OSError, ChildProcessError):
+        pass
+    deadline = time.monotonic() + timeout_s
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid:
+            continue
+        if time.monotonic() >= deadline:
+            for child in child_pids():
+                try:
+                    os.kill(child, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        time.sleep(0.01)
 
 
 def run_workload(run, args: argparse.Namespace) -> None:
-    from phases import ChurnPhase, KernelPhase, ServedPhase
+    from phases import REFERENCE_LOOP_S, ChurnPhase, KernelPhase, ServedPhase
 
     plan = WORKLOADS[args.workload]
     rng = random.Random(args.seed)
@@ -145,23 +180,29 @@ def run_workload(run, args: argparse.Namespace) -> None:
         "churn": ChurnPhase(run, rng, plan["churn"][1]),
     }
     try:
+        # (measured, reference-speed) seconds of each set-up
         setups = []
         for repeat in range(SETUP_REPEATS):
             store_dir = run.workdir / f"stores{repeat}"
             store_dir.mkdir()
+            factor = run.calibrate()
             started = time.perf_counter()
             for phase in phases.values():
                 phase.setup(store_dir)
-            setups.append(time.perf_counter() - started)
+            seconds = time.perf_counter() - started
+            setups.append((seconds, seconds * factor))
             if repeat:
                 shutil.rmtree(run.workdir / f"stores{repeat - 1}")
         phases["served"].check_plans()
+        factor = run.calibrate()
         started = time.perf_counter()
         phases["served"].start_daemon()
         daemon_s = time.perf_counter() - started
-        run.metric("setup_s", statistics.median(setups) + daemon_s, "s")
+        run.metric(
+            "setup_s", statistics.median(s for _, s in setups) + daemon_s * factor, "s"
+        )
         print(
-            "setup: " + ", ".join(f"{s:.2f}s" for s in setups)
+            "setup: measured " + ", ".join(f"{s:.2f}s" for s, _ in setups)
             + f" (median of {SETUP_REPEATS}) + daemon start {daemon_s:.2f}s",
             flush=True,
         )
@@ -170,9 +211,7 @@ def run_workload(run, args: argparse.Namespace) -> None:
         steps = dict.fromkeys(phases, 0)
         for phase in phases.values():
             phase.start()
-        machine = []
         while True:
-            machine.append(machine_loop_s())
             active = [
                 name for name, phase in phases.items()
                 if used[name] < budgets[name] or not phase.has_minimum()
@@ -187,10 +226,12 @@ def run_workload(run, args: argparse.Namespace) -> None:
         for name, phase in phases.items():
             phase.finish()
             print(f"  {name}: {steps[name]} slices, {used[name]:.2f}s", flush=True)
+        loops = run.loops
         print(
-            f"machine: fixed loop {statistics.median(machine) * 1e3:.2f} ms median, "
-            f"{min(machine) * 1e3:.2f} to {max(machine) * 1e3:.2f} ms over "
-            f"{len(machine)} rounds",
+            f"machine: calibration loop {statistics.median(loops) * 1e3:.3f} ms median, "
+            f"{min(loops) * 1e3:.3f} to {max(loops) * 1e3:.3f} ms over "
+            f"{len(loops)} calibrations (reference "
+            f"{REFERENCE_LOOP_S * 1e3:.3f} ms)",
             flush=True,
         )
     finally:
@@ -220,6 +261,7 @@ def main(argv=None) -> int:
     (workdir / "tmp").mkdir()
     os.environ["TMPDIR"] = tempfile.tempdir = str(workdir / "tmp")
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    phases.prctl(phases.PR_SET_CHILD_SUBREAPER, 1)
 
     run = phases.Run(workdir=workdir, src_dir=SRC, trace=bool(args.trace))
     info = provenance(args)
@@ -230,6 +272,7 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return 1
     finally:
+        reap_descendants()
         shutil.rmtree(workdir, ignore_errors=True)
         try:
             workdir.parent.rmdir()
